@@ -1,20 +1,22 @@
 #!/usr/bin/env bash
-# Determinism guard: no raw std HashMap in emission-driving modules.
+# Determinism guard: no raw std HashMap/HashSet in emission-driving modules.
 #
 # The cross-engine pins (tests/cross_engine.rs) promise bit-identical
 # traces, stats, and result rows between the sequential Sim, the
 # ShardedSim at any width, and scripted replays. HashMap's randomized
 # iteration order is the classic way to silently break that promise:
 # iterate one to decide what to send, and the emission order varies per
-# process. This guard fails CI on any `HashMap` mention in the
-# emission-driving source trees unless the file is explicitly listed in
-# ci/determinism_allowlist.txt with a justification.
+# process, and a HashSet iterated the same way breaks it just as
+# silently. This guard fails CI on any `HashMap` or `HashSet` mention in
+# the emission-driving source trees unless the file is explicitly listed
+# in ci/determinism_allowlist.txt with a justification.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
 
 ALLOWLIST=ci/determinism_allowlist.txt
 TREES=(crates/core/src crates/dht/src crates/simnet/src)
+PATTERN='Hash(Map|Set)'
 
 allowed() {
     local file=$1
@@ -30,24 +32,24 @@ allowed() {
 status=0
 while IFS= read -r file; do
     if ! allowed "$file"; then
-        echo "determinism guard: $file uses HashMap but is not in $ALLOWLIST" >&2
-        grep -n "HashMap" "$file" | head -5 >&2
+        echo "determinism guard: $file uses HashMap/HashSet but is not in $ALLOWLIST" >&2
+        grep -nE "$PATTERN" "$file" | head -5 >&2
         status=1
     fi
-done < <(grep -rl "HashMap" "${TREES[@]}" --include='*.rs' | sort)
+done < <(grep -rlE "$PATTERN" "${TREES[@]}" --include='*.rs' | sort)
 
 # Stale allowlist entries are noise that hides real hits: prune them.
 while IFS= read -r line; do
     entry="${line%%#*}"
     entry="$(echo "$entry" | tr -d '[:space:]')"
     [ -z "$entry" ] && continue
-    if [ ! -f "$entry" ] || ! grep -q "HashMap" "$entry"; then
-        echo "determinism guard: stale allowlist entry $entry (no HashMap use)" >&2
+    if [ ! -f "$entry" ] || ! grep -qE "$PATTERN" "$entry"; then
+        echo "determinism guard: stale allowlist entry $entry (no HashMap/HashSet use)" >&2
         status=1
     fi
 done <"$ALLOWLIST"
 
 if [ "$status" -eq 0 ]; then
-    echo "determinism guard: OK (only allowlisted files use HashMap)"
+    echo "determinism guard: OK (only allowlisted files use HashMap/HashSet)"
 fi
 exit "$status"

@@ -1,8 +1,8 @@
 //! Engine scale-up: the Fig. 3 ladder pushed through 10^2 → 10^4 nodes
 //! on one static CAN overlay per point, ~1 R tuple of source data per
 //! node, publish + symmetric-hash join on a latency-only network.
-//! Reports engine throughput (events processed per wall-clock second)
-//! and hard-asserts recall 1.0 vs the reference evaluator at every
+//! Reports engine work (events processed) and throughput (events per
+//! wall-clock second) and hard-asserts recall 1.0 vs the reference evaluator at every
 //! point — the 10^4-node run must complete *correctly*, not just fast.
 //!
 //! After the sequential ladder, the 10^4-node point is re-run through
@@ -12,8 +12,8 @@
 //! sequential throughput.
 //!
 //! Writes `results/BENCH_scaleup.json` (CI bench-trajectory artifact,
-//! gated Higher-is-better on both `events_per_sec` and
-//! `events_per_sec_sharded`).
+//! gated Lower-is-better on the rows' summed `events`; the wall-clock
+//! columns are recorded ungated).
 fn main() {
     let mut shards = 4usize;
     let mut args = std::env::args().skip(1);

@@ -1599,10 +1599,11 @@ fn scaleup_point_sharded(n: usize, seed: u64, w: usize) -> ScaleupRun {
     scaleup_drive(&mut sim, n, seed)
 }
 
-/// E13: engine throughput across 10^2 → 10^4 nodes. The default preset
-/// IS the committed preset — `bench_gate` folds the mean of the
-/// `events_per_sec` rows against the committed artifact, so the ladder
-/// must match row-for-row between CI smoke and the baseline.
+/// E13: engine work and throughput across 10^2 → 10^4 nodes. The
+/// default preset IS the committed preset — `bench_gate` folds the sum
+/// of the rows' deterministic `events` counts against the committed
+/// artifact, so the ladder must match row-for-row between CI smoke and
+/// the baseline. The wall-clock columns are recorded, not gated.
 ///
 /// Each point is measured best-of-reps: the run is deterministic, so
 /// every rep processes identical events and the *fastest* rep is the
@@ -1755,10 +1756,10 @@ pub fn scaleup_with_shards(shards: usize) {
          \"static CAN overlay at 100/1000/10000 nodes, ~1 R tuple per node (floor 400), \
          publish + symmetric-hash join, latency-only network; plus a sharded-engine \
          W-sweep at the 10000-node point (bit-identical to sequential at every W)\",\n  \
-         \"metric\": \"engine events processed per wall-clock second, best-of-reps per \
-         ladder point (mean over the ladder, higher is better); recall vs the reference \
-         evaluator must stay 1.0; events_per_sec_sharded is the same metric through the \
-         sharded engine (mean over the W-sweep, higher is better)\",\n  \
+         \"metric\": \"engine events processed per row, deterministic (sum over the ladder \
+         and the W-sweep, lower is better); recall vs the reference evaluator must stay 1.0; \
+         best_wall_s (best-of-reps), events_per_sec and events_per_sec_sharded are recorded \
+         ungated\",\n  \
          \"host_cores\": {cores},\n  \
          \"rows\": [\n{}\n  ]\n}}\n",
         json_rows.join(",\n")

@@ -951,7 +951,8 @@ impl PierNode {
 
     /// Locally stored, live, selection-passing rows of a base table with
     /// their soft-state expiries. Expired-but-unswept rows (the sweep
-    /// runs on the maintenance tick) never enter a dataflow.
+    /// runs at the first DHT tick-grid instant at or after an expiry)
+    /// never enter a dataflow.
     fn local_live(&self, scan: &ScanSpec, now: Time) -> Vec<(u32, Time, Tuple)> {
         self.dht
             .lscan(scan.ns)
@@ -1111,7 +1112,8 @@ impl PierNode {
         // Local probe of the opposite hash-table partition. The same
         // shortest-lived-constituent rule as `mj_probe` applies: a
         // partner whose window state already aged out (but is not yet
-        // swept — the sweep runs on the maintenance tick) must not join.
+        // swept — the sweep waits for the next DHT tick-grid instant)
+        // must not join.
         let matches: Vec<(u32, Tuple, Time)> = self
             .dht
             .store
@@ -2413,13 +2415,8 @@ impl App for PierNode {
     type Msg = PierMsg;
 
     fn on_start(&mut self, ctx: &mut Ctx<PierMsg>) {
-        let bootstrap = self.bootstrap;
-        if self.dht.is_joined() {
-            ctx.set_timer(self.dht.cfg.tick, DHT_TICK_TOKEN);
-        } else {
-            let mut env = PierEnv { ctx };
-            self.dht.start(&mut env, bootstrap);
-        }
+        let mut env = PierEnv { ctx };
+        self.dht.start(&mut env, self.bootstrap);
     }
 
     fn on_message(&mut self, ctx: &mut Ctx<PierMsg>, from: NodeId, msg: PierMsg) {

@@ -23,8 +23,8 @@ use pier_dht::DhtConfig;
 use pier_simnet::time::{Dur, Time};
 use pier_simnet::{NetConfig, NodeId, Sim};
 
-/// A config whose maintenance tick (and thus expiry sweep) is very
-/// rare, so expired-but-unswept soft state lingers in the stores — the
+/// A config whose tick grid (and thus expiry sweep) is very coarse,
+/// so expired-but-unswept soft state lingers in the stores — the
 /// regime the expiry-correct probe rules must handle.
 fn lazy_sweep_cfg() -> DhtConfig {
     let mut cfg = DhtConfig::static_network();

@@ -7,9 +7,9 @@
 //! not having a large message hop along the overlay network outweighs the
 //! small chance" of a stale lookup, which is healed by retry/re-homing.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 
-use pier_simnet::time::Time;
+use pier_simnet::time::{Dur, Time};
 use pier_simnet::{NodeId, Wire};
 
 use crate::can::CanState;
@@ -41,6 +41,17 @@ struct PendingOp<V> {
     op: Pending<V>,
 }
 
+impl<V> PendingOp<V> {
+    /// The op is stale, and re-sent, once `now` is strictly past this:
+    /// `lookup_retry · 2^min(retries, 5)` after its last send.
+    fn retry_at(&self, lookup_retry: Dur) -> Time {
+        self.issued + lookup_retry.saturating_mul(1u64 << self.retries.min(5))
+    }
+}
+
+/// How long a multicast dedup record is kept.
+const MCAST_HORIZON: Dur = Dur::from_secs(120);
+
 /// One node's complete DHT stack: overlay + storage manager + provider.
 pub struct Dht<V> {
     pub cfg: DhtConfig,
@@ -62,6 +73,16 @@ pub struct Dht<V> {
     tick_count: u64,
     /// Last anti-entropy pull, for rate limiting repair bursts.
     last_repair: Time,
+    /// Ticks fall on the grid `grid_origin + k·cfg.tick`, `k ≥ 1`.
+    grid_origin: Time,
+    /// The earliest instant a tick timer is set for and has not fired
+    /// ([`Time::MAX`] when none is). Timers cannot be cancelled, so one
+    /// set for a later instant may still be queued behind it.
+    armed: Time,
+    /// Lower bound on the earliest [`PendingOp::retry_at`].
+    retry_bound: Time,
+    /// Lower bound on the oldest `seen_mcast` record.
+    mcast_bound: Time,
 }
 
 impl<V: Wire + Clone> Dht<V> {
@@ -85,6 +106,10 @@ impl<V: Wire + Clone> Dht<V> {
             join_sent: Time::ZERO,
             tick_count: 0,
             last_repair: Time::ZERO,
+            grid_origin: Time::ZERO,
+            armed: Time::MAX,
+            retry_bound: Time::MAX,
+            mcast_bound: Time::MAX,
         }
     }
 
@@ -130,22 +155,27 @@ impl<V: Wire + Clone> Dht<V> {
 
     /// Start the node: create a new overlay (`bootstrap = None`) or join
     /// an existing one via any member node (Table 1's `join(landmark)`).
+    /// A node built already joined ([`Self::with_can`],
+    /// [`Self::with_chord`]) skips both and only starts its tick grid.
     pub fn start(&mut self, env: &mut dyn DhtEnv<V>, bootstrap: Option<NodeId>) {
-        self.bootstrap = bootstrap;
-        match bootstrap {
-            None => match &mut self.overlay {
-                Overlay::Can(c) => c.start_first(),
-                Overlay::Chord(c) => c.start_first(),
-            },
-            Some(b) => {
-                self.join_sent = env.now();
-                match &mut self.overlay {
-                    Overlay::Can(c) => c.start_join(env, &mut self.meter, b),
-                    Overlay::Chord(c) => c.start_join(env, &mut self.meter, b),
+        self.grid_origin = env.now();
+        if !self.is_joined() {
+            self.bootstrap = bootstrap;
+            match bootstrap {
+                None => match &mut self.overlay {
+                    Overlay::Can(c) => c.start_first(),
+                    Overlay::Chord(c) => c.start_first(),
+                },
+                Some(b) => {
+                    self.join_sent = env.now();
+                    match &mut self.overlay {
+                        Overlay::Can(c) => c.start_join(env, &mut self.meter, b),
+                        Overlay::Chord(c) => c.start_join(env, &mut self.meter, b),
+                    }
                 }
             }
         }
-        env.timer(self.cfg.tick, DHT_TICK_TOKEN);
+        self.rearm(env);
     }
 
     /// Does this node currently own `key`?
@@ -183,6 +213,7 @@ impl<V: Wire + Clone> Dht<V> {
         } else {
             self.lookup(env, key, Pending::Put(entry), events);
         }
+        self.rearm(env);
     }
 
     /// Provider `renew` (Table 3): identical mechanics to `put` — an
@@ -231,6 +262,7 @@ impl<V: Wire + Clone> Dht<V> {
                 events,
             );
         }
+        self.rearm(env);
     }
 
     /// Provider `lscan` (Table 3): iterate locally stored items of `ns`.
@@ -266,26 +298,27 @@ impl<V: Wire + Clone> Dht<V> {
                 },
                 events,
             );
-            return;
+        } else {
+            let children = match &self.overlay {
+                Overlay::Chord(c) => c.broadcast_children(c.ring),
+                Overlay::Can(_) => unreachable!(),
+            };
+            self.deliver_mcast(env.now(), id, self.me, &payload, events);
+            for (child, limit) in children {
+                send_metered(
+                    env,
+                    &mut self.meter,
+                    child,
+                    DhtMsg::Chord(ChordMsg::Bcast {
+                        id,
+                        origin: self.me,
+                        payload: payload.clone(),
+                        limit,
+                    }),
+                );
+            }
         }
-        let children = match &self.overlay {
-            Overlay::Chord(c) => c.broadcast_children(c.ring),
-            Overlay::Can(_) => unreachable!(),
-        };
-        self.deliver_mcast(env.now(), id, self.me, &payload, events);
-        for (child, limit) in children {
-            send_metered(
-                env,
-                &mut self.meter,
-                child,
-                DhtMsg::Chord(ChordMsg::Bcast {
-                    id,
-                    origin: self.me,
-                    payload: payload.clone(),
-                    limit,
-                }),
-            );
-        }
+        self.rearm(env);
     }
 
     /// Graceful departure (Table 1's `leave()`).
@@ -294,6 +327,7 @@ impl<V: Wire + Clone> Dht<V> {
             c.leave(env, &mut self.meter, &mut self.store);
         }
         // Chord leave: soft state ages out; successors stabilize around us.
+        self.rearm(env);
     }
 
     /// Live items for a `get`: the primary store, plus — under k > 1 —
@@ -376,15 +410,14 @@ impl<V: Wire + Clone> Dht<V> {
     ) {
         let token = self.next_token;
         self.next_token += 1;
-        self.pending.insert(
-            token,
-            PendingOp {
-                key,
-                issued: env.now(),
-                retries: 0,
-                op,
-            },
-        );
+        let p = PendingOp {
+            key,
+            issued: env.now(),
+            retries: 0,
+            op,
+        };
+        self.retry_bound = self.retry_bound.min(p.retry_at(self.cfg.lookup_retry));
+        self.pending.insert(token, p);
         self.send_lookup(env, key, token, events);
     }
 
@@ -503,6 +536,7 @@ impl<V: Wire + Clone> Dht<V> {
         payload: &V,
         events: &mut Vec<DhtEvent<V>>,
     ) {
+        self.mcast_bound = self.mcast_bound.min(now);
         if self.seen_mcast.insert(id, now).is_none() {
             events.push(DhtEvent::Multicast {
                 origin,
@@ -653,7 +687,7 @@ impl<V: Wire + Clone> Dht<V> {
             DhtMsg::RepairRequest { scope } => {
                 let now = env.now();
                 let d = self.cfg.dims;
-                let mut seen = std::collections::HashSet::new();
+                let mut seen = BTreeSet::new();
                 let items: Vec<Entry<V>> = self
                     .store
                     .iter_all()
@@ -690,6 +724,7 @@ impl<V: Wire + Clone> Dht<V> {
             }
         }
         self.maybe_repair(env, before, events);
+        self.rearm(env);
     }
 
     fn handle_can(
@@ -929,11 +964,58 @@ impl<V: Wire + Clone> Dht<V> {
         if token != DHT_TICK_TOKEN {
             return false;
         }
+        // A timer fires at its instant on the simulators and later on a
+        // wall clock. One firing before `armed` was set before a tick that
+        // already did the work due by now.
+        if env.now() < self.armed {
+            return true;
+        }
+        self.armed = Time::MAX;
         let before = events.len();
         self.tick(env, events);
         self.maybe_repair(env, before, events);
-        env.timer(self.cfg.tick, DHT_TICK_TOKEN);
+        self.rearm(env);
         true
+    }
+
+    /// The first tick-grid instant at or after `t`, saturating at
+    /// [`Time::MAX`].
+    fn grid_at_or_after(&self, t: Time) -> Time {
+        let period = self.cfg.tick.as_micros().max(1);
+        let k = t
+            .since(self.grid_origin)
+            .as_micros()
+            .div_ceil(period)
+            .max(1);
+        self.grid_origin + Dur(k.saturating_mul(period))
+    }
+
+    /// Arm the tick timer for the first grid instant after now at which
+    /// [`Self::tick`] has work due, unless an armed timer fires no later.
+    /// Every public entry point that takes an env ends here, so no new
+    /// deadline goes without a timer. With maintenance or re-homing on,
+    /// or before the join completes, every grid instant is due; else the
+    /// due instants are the next expiry, lookup retry and `seen_mcast`
+    /// horizon.
+    fn rearm(&mut self, env: &mut dyn DhtEnv<V>) {
+        let now = env.now();
+        let next = self.grid_at_or_after(now.next());
+        if self.armed <= next {
+            return;
+        }
+        let due = if self.cfg.maintenance || self.cfg.rehome || !self.is_joined() {
+            next
+        } else {
+            let expiry = self.store.expiry_bound().min(self.replicas.expiry_bound());
+            self.grid_at_or_after(expiry)
+                .min(self.grid_at_or_after(self.retry_bound.next()))
+                .min(self.grid_at_or_after(self.mcast_bound + MCAST_HORIZON))
+                .max(next)
+        };
+        if due < self.armed {
+            self.armed = due;
+            env.timer(due.since(now), DHT_TICK_TOKEN);
+        }
     }
 
     /// Anti-entropy: if the dispatch that just ran changed this node's
@@ -991,7 +1073,7 @@ impl<V: Wire + Clone> Dht<V> {
     /// its replicas).
     fn promote_replicas(&mut self, env: &mut dyn DhtEnv<V>, events: &mut Vec<DhtEvent<V>>) {
         let now = env.now();
-        let owned: std::collections::HashSet<u64> = self
+        let owned: BTreeSet<u64> = self
             .replicas
             .iter_all()
             .map(|e| e.key)
@@ -1054,8 +1136,10 @@ impl<V: Wire + Clone> Dht<V> {
         ids
     }
 
-    /// Periodic work: overlay maintenance, soft-state expiry, lookup
-    /// retries, re-homing, join retry.
+    /// Grid-instant work: overlay maintenance, soft-state expiry, lookup
+    /// retries, re-homing, join retry. Runs only at instants
+    /// [`Self::rearm`] found due, which are exactly the instants where a
+    /// tick on every grid instant would have done something.
     fn tick(&mut self, env: &mut dyn DhtEnv<V>, events: &mut Vec<DhtEvent<V>>) {
         self.tick_count += 1;
         let now = env.now();
@@ -1087,44 +1171,56 @@ impl<V: Wire + Clone> Dht<V> {
         // Retry stale lookups with exponential backoff: under congestion
         // a reply may sit minutes deep in an inbound queue, and dropping
         // the op would lose data. Abandon only after ~10 minutes.
-        let stale: Vec<u64> = self
-            .pending
-            .iter()
-            .filter(|(_, p)| {
-                let backoff = self
-                    .cfg
-                    .lookup_retry
-                    .saturating_mul(1u64 << p.retries.min(5));
-                now.since(p.issued) > backoff
-            })
-            .map(|(&t, _)| t)
-            .collect();
-        for token in stale {
-            let (key, give_up) = {
-                let p = self.pending.get_mut(&token).unwrap();
-                p.retries += 1;
-                p.issued = now;
-                (p.key, p.retries > 12)
-            };
-            if give_up {
-                self.pending.remove(&token);
-                self.awaiting_get.remove(&token);
-            } else if self.owns_key(key) {
-                // Ownership shifted to us while the lookup was in flight.
-                self.resolve_lookup(env, token, self.me, events);
-            } else {
-                self.send_lookup(env, key, token, events);
+        let retry = self.cfg.lookup_retry;
+        if now > self.retry_bound {
+            let stale: Vec<u64> = self
+                .pending
+                .iter()
+                .filter(|(_, p)| now > p.retry_at(retry))
+                .map(|(&t, _)| t)
+                .collect();
+            for token in stale {
+                let (key, give_up) = {
+                    let p = self.pending.get_mut(&token).unwrap();
+                    p.retries += 1;
+                    p.issued = now;
+                    (p.key, p.retries > 12)
+                };
+                if give_up {
+                    self.pending.remove(&token);
+                    self.awaiting_get.remove(&token);
+                } else if self.owns_key(key) {
+                    // Ownership shifted to us while the lookup was in flight.
+                    self.resolve_lookup(env, token, self.me, events);
+                } else {
+                    self.send_lookup(env, key, token, events);
+                }
             }
+            self.retry_bound = self
+                .pending
+                .values()
+                .map(|p| p.retry_at(retry))
+                .min()
+                .unwrap_or(Time::MAX);
         }
 
         // Drop old multicast dedup records.
-        let horizon = pier_simnet::time::Dur::from_secs(120);
-        self.seen_mcast.retain(|_, t| now.since(*t) < horizon);
+        if now >= self.mcast_bound + MCAST_HORIZON {
+            let mut oldest = Time::MAX;
+            self.seen_mcast.retain(|_, &mut t| {
+                let keep = now.since(t) < MCAST_HORIZON;
+                if keep {
+                    oldest = oldest.min(t);
+                }
+                keep
+            });
+            self.mcast_bound = oldest;
+        }
 
         // Re-home items we no longer own (every few ticks): the
         // self-healing that follows overlay churn.
         if self.cfg.rehome && self.is_joined() && self.tick_count.is_multiple_of(4) {
-            let not_mine: std::collections::HashSet<u64> = self
+            let not_mine: BTreeSet<u64> = self
                 .store
                 .iter_all()
                 .filter(|e| !self.owns_key(e.key))
@@ -1138,10 +1234,5 @@ impl<V: Wire + Clone> Dht<V> {
                 }
             }
         }
-    }
-
-    /// Number of distinct in-flight lookups (for tests/diagnostics).
-    pub fn pending_ops(&self) -> usize {
-        self.pending.len()
     }
 }

@@ -54,15 +54,8 @@ impl<V: Wire + Clone + Send + 'static> App for DhtNode<V> {
     type Msg = DhtMsg<V>;
 
     fn on_start(&mut self, ctx: &mut Ctx<Self::Msg>) {
-        let bootstrap = self.bootstrap;
         let mut env = CtxEnv { ctx };
-        // Pre-stabilized nodes still need their tick timer; `start` with
-        // no bootstrap is idempotent for an already-joined overlay.
-        if self.dht.is_joined() {
-            env.ctx.set_timer(self.dht.cfg.tick, crate::DHT_TICK_TOKEN);
-        } else {
-            self.dht.start(&mut env, bootstrap);
-        }
+        self.dht.start(&mut env, self.bootstrap);
     }
 
     fn on_message(&mut self, ctx: &mut Ctx<Self::Msg>, from: NodeId, msg: Self::Msg) {

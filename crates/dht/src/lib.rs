@@ -43,7 +43,7 @@ pub type Rid = u64;
 /// at d = 4 averages 10 hops), purely a loop/livelock backstop.
 pub const ROUTE_TTL: u16 = 512;
 
-/// Timer token reserved for the DHT maintenance tick.
+/// Timer token reserved for the DHT tick (see [`DhtConfig::tick`]).
 pub const DHT_TICK_TOKEN: u64 = 0xD117_0000_0000_0001;
 
 /// Which overlay a node runs.
@@ -69,7 +69,12 @@ pub struct DhtConfig {
     /// CAN dimensionality (paper: d = 4, giving N^(1/4) average hops).
     pub dims: usize,
     pub overlay: OverlayKind,
-    /// Maintenance tick period.
+    /// Spacing of each node's tick grid: ticks may fall only at the
+    /// node's start instant plus a whole number of `tick`s. A node arms
+    /// its tick for the first grid instant with work due (an expiry, a
+    /// lookup retry, a multicast dedup horizon, a join retry), and for
+    /// every grid instant while `maintenance` or `rehome` is on. It is
+    /// the granularity deadlines snap to, not a poll period.
     pub tick: Dur,
     /// Keepalive (heartbeat / stabilization) period.
     pub keepalive: Dur,

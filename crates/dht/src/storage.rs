@@ -17,6 +17,9 @@ use pier_simnet::time::Time;
 pub struct StorageManager<V> {
     by_ns: BTreeMap<Ns, BTreeMap<Rid, Vec<Entry<V>>>>,
     len: usize,
+    /// Lower bound on the earliest stored expiry: `store` lowers it,
+    /// removals leave it stale-low, a scanning sweep recomputes it.
+    expiry_bound: Time,
 }
 
 impl<V> Default for StorageManager<V> {
@@ -24,6 +27,7 @@ impl<V> Default for StorageManager<V> {
         StorageManager {
             by_ns: BTreeMap::new(),
             len: 0,
+            expiry_bound: Time::MAX,
         }
     }
 }
@@ -47,6 +51,7 @@ impl<V> StorageManager<V> {
     /// Returns `true` when the item is new (not a renewal), which is what
     /// drives `newData` callbacks.
     pub fn store(&mut self, entry: Entry<V>) -> bool {
+        self.expiry_bound = self.expiry_bound.min(entry.expires);
         let bucket = self
             .by_ns
             .entry(entry.ns)
@@ -143,8 +148,9 @@ impl<V> StorageManager<V> {
     }
 
     /// Count of *live* items in one namespace — expired-but-unswept
-    /// entries (the sweep runs on the maintenance tick) are excluded,
-    /// so an audit right after an expiry horizon is exact.
+    /// entries (the sweep runs at the first tick-grid instant at or
+    /// after an expiry) are excluded, so an audit right after an expiry
+    /// horizon is exact.
     pub fn ns_len_live(&self, ns: Ns, now: Time) -> usize {
         self.by_ns.get(&ns).map_or(0, |m| {
             m.values().flatten().filter(|e| e.expires > now).count()
@@ -166,20 +172,33 @@ impl<V> StorageManager<V> {
         out
     }
 
+    /// No stored item expires before this instant ([`Time::MAX`] when
+    /// none can), so the owner need not sweep until then.
+    pub(crate) fn expiry_bound(&self) -> Time {
+        self.expiry_bound
+    }
+
     /// Drop expired items (soft-state aging, §3.2.3). Returns the number
-    /// discarded.
+    /// discarded. Free while `now` is below the earliest-expiry bound;
+    /// otherwise one full scan, which also recomputes the bound.
     pub fn sweep_expired(&mut self, now: Time) -> usize {
+        if now < self.expiry_bound {
+            return 0;
+        }
         let mut removed = 0;
+        let mut bound = Time::MAX;
         self.by_ns.retain(|_, m| {
             m.retain(|_, v| {
                 let before = v.len();
                 v.retain(|e| e.expires > now);
                 removed += before - v.len();
+                bound = v.iter().fold(bound, |b, e| b.min(e.expires));
                 !v.is_empty()
             });
             !m.is_empty()
         });
         self.len -= removed;
+        self.expiry_bound = bound;
         removed
     }
 
@@ -316,6 +335,34 @@ mod tests {
         assert_eq!(s.get(1, 10).len(), 1);
         // Namespace 2 disappeared with its last item.
         assert_eq!(s.namespaces().count(), 1);
+    }
+
+    #[test]
+    fn expiry_bound_sweeps_at_the_same_instants_as_a_full_scan() {
+        let mut s = StorageManager::new();
+        assert_eq!(s.expiry_bound(), Time::MAX);
+        for k in 0..8u64 {
+            s.store(entry(1, k, 0, k, 1000 + 100 * k, k as u32));
+        }
+        // Renew rid 5 with a *shorter* lifetime than any other item.
+        assert!(!s.store(entry(1, 5, 0, 5, 250, 50)));
+        assert_eq!(s.expiry_bound(), Time(250));
+        // Drop the item that set the bound, and another by extraction:
+        // the bound is now stale-low, which must cost a scan, not a miss.
+        assert_eq!(s.remove(1, 5), 1);
+        let moved = s.extract_not_owned(|k| k != 0);
+        assert_eq!(moved.len(), 1);
+        assert!(s.expiry_bound() <= Time(1100));
+        // Step through time, comparing every sweep against the items a
+        // full scan would drop at that instant.
+        for now in (0..2000).step_by(50).map(Time) {
+            let due = s.iter_all().filter(|e| e.expires <= now).count();
+            assert_eq!(s.sweep_expired(now), due, "at {now:?}");
+            assert!(s.iter_all().all(|e| e.expires > now));
+            assert!(s.iter_all().all(|e| e.expires >= s.expiry_bound()));
+        }
+        assert!(s.is_empty());
+        assert_eq!(s.expiry_bound(), Time::MAX);
     }
 
     #[test]

@@ -4,7 +4,7 @@
 
 use pier_dht::harness::{stabilized_can_sim, stabilized_chord_sim, DhtNode};
 use pier_dht::{ns_of, DhtConfig, DhtEvent, OverlayKind};
-use pier_simnet::time::Dur;
+use pier_simnet::time::{Dur, Time};
 use pier_simnet::{NetConfig, NodeId, Sim};
 
 type V = Vec<u8>;
@@ -198,6 +198,62 @@ fn soft_state_expires_without_renewal() {
         .map(|i| sim.app(i).unwrap().dht.store.ns_len(ns))
         .sum();
     assert_eq!(live, 0, "items aged out");
+}
+
+#[test]
+fn idle_static_nodes_process_no_events() {
+    // No data, no lookups, no multicast, maintenance off: no node has a
+    // deadline, so none wakes — not even for the 500 ms tick.
+    let mut sim: Sim<DhtNode<V>> =
+        stabilized_can_sim(8, DhtConfig::static_network(), latency_only(5));
+    let e0 = sim.events_processed();
+    sim.run_for(Dur::from_secs(60));
+    assert_eq!(sim.events_processed() - e0, 0, "idle nodes woke up");
+}
+
+#[test]
+fn expiry_sweeps_at_the_first_tick_grid_instant_after_it() {
+    let cfg = DhtConfig::static_network();
+    let grid = cfg.tick;
+    let mut sim: Sim<DhtNode<V>> = stabilized_can_sim(4, cfg, latency_only(5));
+    let ns = ns_of("grid");
+    let owner = 0;
+    let rids: Vec<u64> = (0..)
+        .filter(|&rid| {
+            let key = pier_dht::key_of(ns, rid);
+            sim.app(owner).unwrap().dht.owns_key(key)
+        })
+        .take(3)
+        .collect();
+    // Puts at the owner (stored locally, no messages) at 1.2 s, with
+    // lifetimes of 20, 30 and 10 s: the last put's earlier deadline
+    // supersedes the timer the first one armed.
+    sim.run_until(Time::from_secs_f64(1.2));
+    sim.with_app(owner, |node, ctx| {
+        let mut env = pier_dht::CtxEnv { ctx };
+        let mut ev = Vec::new();
+        for (&rid, secs) in rids.iter().zip([20, 30, 10]) {
+            node.dht
+                .put(&mut env, ns, rid, 0, vec![1], Dur::from_secs(secs), &mut ev);
+        }
+    });
+    let stored = |sim: &Sim<DhtNode<V>>| sim.app(owner).unwrap().dht.store.ns_len(ns);
+    assert_eq!(stored(&sim), 3);
+    // Nodes start at t = 0, so each sweep falls on the first multiple
+    // of the tick at or after its expiry (11.2 s, 21.2 s, 31.2 s), not
+    // a tick later.
+    let e0 = sim.events_processed();
+    for (ticks, left) in [(23, 2), (43, 1), (63, 0)] {
+        let sweep = Time::ZERO + grid.saturating_mul(ticks);
+        sim.run_until(Time(sweep.as_micros() - 1));
+        assert_eq!(stored(&sim), left + 1, "swept before {sweep:?}");
+        sim.run_until(sweep);
+        assert_eq!(stored(&sim), left, "not swept at {sweep:?}");
+    }
+    // One tick per expiry, plus the superseded 21.5 s timer, which fires
+    // without re-arming another: the node's only wake-ups.
+    sim.run_for(Dur::from_secs(60));
+    assert_eq!(sim.events_processed() - e0, 4);
 }
 
 #[test]

@@ -842,14 +842,6 @@ impl<A: App> Sim<A> {
         }
         self.core.is_idle()
     }
-
-    /// Time of the next *queued* event, if any. Sends buffered by a
-    /// handler or [`Self::with_app`] injection that have not yet been
-    /// routed are not reflected here (their delivery instant is not
-    /// known until the flow model runs at the next step).
-    pub fn peek_next_time(&self) -> Option<Time> {
-        self.core.next_at()
-    }
 }
 
 #[cfg(test)]

@@ -58,7 +58,7 @@ impl Dur {
         Dur(ms * 1_000)
     }
 
-    pub fn from_secs(s: u64) -> Dur {
+    pub const fn from_secs(s: u64) -> Dur {
         Dur(s * 1_000_000)
     }
 
